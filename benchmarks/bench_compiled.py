@@ -25,9 +25,9 @@ import numpy as np
 import pytest
 
 from repro.ppuf import BatchEvaluator, Ppuf
-from repro.ppuf.compiled import attach_compiled, share_compiled
 from repro.ppuf.io import load_compiled, ppuf_from_dict, ppuf_to_dict, save_compiled
 from repro.ppuf.verification import PpufProver, PpufVerifier
+from repro.runtime.provision import attach_compiled, share_compiled
 
 NODES = 16
 GRID = 4

@@ -44,6 +44,7 @@ import numpy as np
 from repro.errors import ReproError
 from repro.flow.registry import DEFAULT_ALGORITHM
 from repro.ppuf import Ppuf
+from repro.ppuf.batch import BATCHED_ALGORITHM
 
 
 # ----------------------------------------------------------------------
@@ -163,7 +164,7 @@ def _command_respond(arguments) -> int:
         evaluator = BatchEvaluator(
             ppuf,
             engine=arguments.engine,
-            algorithm=arguments.algorithm or "batched_dinic",
+            algorithm=arguments.algorithm or BATCHED_ALGORITHM,
             workers=arguments.workers,
         )
         bits, report = evaluator.evaluate(challenges)
@@ -305,7 +306,6 @@ def _command_serve(arguments) -> int:
         workers=arguments.workers,
         seed=arguments.seed,
         allow_enroll=not arguments.no_enroll,
-        use_compiled=arguments.compiled,
         claim_batch_size=arguments.claim_batch,
         claim_batch_linger=arguments.claim_linger,
         connection_timeout=arguments.timeout if arguments.timeout > 0 else None,
@@ -829,8 +829,8 @@ def build_parser() -> argparse.ArgumentParser:
     respond.add_argument(
         "--algorithm",
         default=None,
-        help="registered solver name (default: 'batched' with --batch, "
-        "'dinic' otherwise; see `repro solvers`)",
+        help=f"registered solver name (default: {BATCHED_ALGORITHM!r} with "
+        f"--batch, {DEFAULT_ALGORITHM!r} otherwise; see `repro solvers`)",
     )
     respond.add_argument(
         "--workers", type=int, default=1, help="process count for --batch"
@@ -920,18 +920,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="concurrent connection cap (excess gets a wire error)",
     )
     serve.add_argument(
-        "--compiled",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="ship compiled artifacts to verification workers "
-        "(--no-compiled restores the legacy public-dict transport)",
-    )
-    serve.add_argument(
         "--claim-batch",
         type=int,
         default=16,
         help="micro-batching bound: coalesce up to this many concurrent "
-        "claims into one lockstep verification (1 disables)",
+        "claims into one lockstep verification (1 dispatches every claim "
+        "alone)",
     )
     serve.add_argument(
         "--claim-linger",

@@ -1,9 +1,9 @@
 """Vectorised blocking-flow Dinic over batched ``(B, E)`` edge arrays.
 
-The dense lockstep solver (:mod:`repro.flow.batched`) advances Edmonds–Karp
-over a ``(B, n, n)`` residual stack: one augmenting path per instance per
-round, each round paying a full dense BFS.  Dinic's level-synchronous
-structure vectorises better: a phase is one batched BFS that labels every
+A lockstep Edmonds–Karp over a ``(B, n, n)`` residual stack would find
+one augmenting path per instance per round, each round paying a full
+dense BFS.  Dinic's level-synchronous structure vectorises better: a
+phase is one batched BFS that labels every
 instance's level graph, followed by a *blocking flow* found by a lockstep
 depth-first scan in which every step advances all live instances at once
 with a handful of ``(A, max_degree)`` gathers — no Python loop ever walks

@@ -7,17 +7,14 @@ run and the protocol examples serve many verifiers at once, so this module
 turns the loop inside out:
 
 * capacities for *all* challenges of a chunk are assembled into one
-  capacity table (network A rows first, then network B), reusing the
-  per-bit capacity caches of :class:`~repro.ppuf.device.PpufNetwork` and a
-  preallocated capacity/residual buffer pair across chunks.  The shape of
-  that table follows the solver's tensor capability: an *edge-array*
-  solver (:attr:`~repro.flow.registry.SolverSpec.tensor_edge_fn`, the
-  default ``"batched_dinic"``) gets a ``(2·C, E)`` table over the shared
-  :class:`~repro.flow.csr.CsrTopology` — one vectorised ``np.where`` per
+  ``(2·C, E)`` capacity table (network A rows first, then network B) over
+  the shared :class:`~repro.flow.csr.CsrTopology`, straight from the
+  device's per-bit capacity rows — one vectorised ``np.where`` per
   network, no dense ``(2·C, n, n)`` stack and no per-challenge Python
-  loop — while a *dense* tensor solver
-  (:attr:`~repro.flow.registry.SolverSpec.tensor_fn`, e.g. ``"batched"``)
-  still gets the classic dense stack;
+  loop — and solved in lockstep by an *edge-array* solver
+  (:attr:`~repro.flow.registry.SolverSpec.tensor_edge_fn`, the default
+  :data:`BATCHED_ALGORITHM`), reusing a preallocated capacity/residual
+  buffer pair across chunks;
 * any other registered *exact* solver is run one instance at a time
   through :meth:`~repro.flow.registry.SolverSpec.solve_matrix` —
   bit-for-bit identical to looping
@@ -32,21 +29,22 @@ turns the loop inside out:
   per-bit capacity / I–V tables (zero copies, one small manifest pickle)
   instead of receiving a full device pickle and re-deriving the caches.
   Pass ``share_memory=False`` to fall back to pickling (the benchmark
-  baseline).  Chunk results are reassembled in submission order, and
-  because no arithmetic couples challenges, the response bits are
-  independent of the worker count and chunking.  Empty and single-chunk
-  inputs short-circuit inline — no pool is ever spawned for them.
+  baseline, and the transport where shared memory is unavailable).
+  Chunk results are reassembled in submission order, and because no
+  arithmetic couples challenges, the response bits are independent of the
+  worker count and chunking.  Empty and single-chunk inputs short-circuit
+  inline — no pool is ever spawned for them.
 
 Every chunk fills one :class:`~repro.flow.registry.SolveStats` (phases
 ``prepare``/``solve``/``compare`` plus the solver's operation counts);
 :class:`BatchReport` merges them into the single telemetry record its
 consumers — benchmarks, protocol experiments, the service — read.
 
-The ``"batched_dinic"`` and ``"batched"`` solvers reach the same max-flow
-values as the exact solvers up to float rounding (the value is unique;
-only the augmentation order differs).  Comparator margins are
-astronomically larger than one ulp, so response bits agree — the
-equivalence test suite pins this.
+The ``"batched_dinic"`` solver reaches the same max-flow values as the
+exact solvers up to float rounding (the value is unique; only the
+augmentation order differs).  Comparator margins are astronomically
+larger than one ulp, so response bits agree — the equivalence test suite
+pins this.
 """
 
 from __future__ import annotations
@@ -61,7 +59,6 @@ from repro.errors import SolverError
 from repro.flow.csr import complete_topology
 from repro.flow.registry import SolveStats, get_solver
 from repro.ppuf.challenge import Challenge
-from repro.ppuf.compiled import CompiledDevice
 from repro.ppuf.engines import check_engine
 from repro.runtime.pool import WorkerPool
 from repro.runtime.provision import (
@@ -71,12 +68,12 @@ from repro.runtime.provision import (
 )
 
 #: The cross-challenge vectorised solver: edge-array batched Dinic
-#: (see :mod:`repro.flow.batched_dinic`).  The dense lockstep
-#: Edmonds–Karp remains registered as ``"batched"``.
+#: (see :mod:`repro.flow.batched_dinic`), the default everywhere a batch
+#: of challenges is evaluated.
 BATCHED_ALGORITHM = "batched_dinic"
 
-#: Default number of challenges per solver chunk.  Bounds the dense tensor
-#: at ``2 * 256 * n²`` floats and gives the process pool units of work.
+#: Default number of challenges per solver chunk.  Bounds the capacity
+#: table at ``2 * 256 * E`` floats and gives the process pool units of work.
 DEFAULT_CHUNK_SIZE = 256
 
 
@@ -151,14 +148,14 @@ class BatchEvaluator:
     ----------
     ppuf:
         The device to evaluate: a :class:`~repro.ppuf.device.Ppuf` or a
-        :class:`~repro.ppuf.compiled.CompiledDevice` (both expose the same
-        evaluation surface).
+        :class:`~repro.ppuf.compiled.CompiledDevice` (both are a
+        :class:`~repro.ppuf.model.DeviceModel`).
     engine:
         ``"maxflow"`` (default) or ``"circuit"``.
     algorithm:
         Any registered *exact* solver name (``repro solvers`` lists them);
-        the default ``"batched_dinic"`` uses the edge-array tensor fast
-        path, ``"batched"`` the dense lockstep one.
+        the default :data:`BATCHED_ALGORITHM` uses the edge-array tensor
+        fast path, the others solve one instance at a time.
     workers:
         Process count; 1 evaluates inline.
     chunk_size:
@@ -166,8 +163,8 @@ class BatchEvaluator:
     share_memory:
         With ``workers > 1``, ship the device to pool workers as a
         compiled artifact in shared memory (default).  ``False`` pickles
-        the device to every worker instead — the legacy transport, kept
-        for comparison benchmarks.
+        the device to every worker instead — the fallback transport, also
+        kept for comparison benchmarks.
     """
 
     def __init__(
@@ -200,9 +197,11 @@ class BatchEvaluator:
         self.workers = int(workers)
         self.chunk_size = int(chunk_size)
         self.share_memory = bool(share_memory)
-        self._compiled: Optional[CompiledDevice] = (
-            ppuf if isinstance(ppuf, CompiledDevice) else None
-        )
+        # Imported here: the compiled artifact's evaluation surface
+        # (repro.ppuf.model) imports this module.
+        from repro.ppuf.compiled import CompiledDevice
+
+        self._compiled = ppuf if isinstance(ppuf, CompiledDevice) else None
         crossbar = ppuf.crossbar
         self._cells = crossbar.edge_cells()
         self._edge_src, self._edge_dst = crossbar.edge_endpoints()
@@ -211,8 +210,8 @@ class BatchEvaluator:
         # pool worker) reuse one object.
         self._topology = complete_topology(crossbar.n)
         # Capacity/residual buffers, allocated once and reused for every
-        # full-size chunk this evaluator sees.  The dense pair backs
-        # tensor_fn solvers; the edge pair backs tensor_edge_fn solvers.
+        # full-size chunk this evaluator sees.  The edge pair backs
+        # tensor_edge_fn solvers; the dense pair backs per-row solves.
         self._capacity_buffer: Optional[np.ndarray] = None
         self._residual_buffer: Optional[np.ndarray] = None
         self._edge_capacity_buffer: Optional[np.ndarray] = None
@@ -299,7 +298,7 @@ class BatchEvaluator:
     # ------------------------------------------------------------------
     # worker transport
     # ------------------------------------------------------------------
-    def compiled_device(self) -> CompiledDevice:
+    def compiled_device(self):
         """The compiled artifact shipped to workers (compiled once, cached).
 
         The circuit engine needs the I–V tables; the max-flow engine ships
@@ -308,7 +307,7 @@ class BatchEvaluator:
         need_circuit = self.engine == "circuit"
         cached = self._compiled
         if cached is None or (need_circuit and not cached.has_circuit_tables):
-            if isinstance(self.ppuf, CompiledDevice):
+            if cached is self.ppuf:
                 # A capacity-only artifact cannot grow circuit tables; ship
                 # it as-is and let the circuit path raise its clear error.
                 return self.ppuf
@@ -384,7 +383,7 @@ class BatchEvaluator:
                 dtype=np.int64, count=count,
             )
             # Same selection arithmetic as Crossbar.bits_for_edges +
-            # PpufNetwork.capacities, lifted to the whole chunk: stack the
+            # NetworkModel.capacities, lifted to the whole chunk: stack the
             # challenge bit vectors, gather per-edge control bits, and let
             # one np.where per network broadcast the per-bit capacity rows.
             bits = np.stack([challenge.bits for challenge in challenges])
@@ -434,7 +433,7 @@ class BatchEvaluator:
             ]
             for index, challenge in enumerate(challenges):
                 # Same selection arithmetic as Crossbar.bits_for_edges +
-                # PpufNetwork.capacities, minus the per-call validation.
+                # NetworkModel.capacities, minus the per-call validation.
                 choose = challenge.bits[self._cells] == 1
                 terminals[0, index] = terminals[0, index + count] = challenge.source
                 terminals[1, index] = terminals[1, index + count] = challenge.sink
@@ -442,22 +441,15 @@ class BatchEvaluator:
                     capacity[index + half * count, src, dst] = np.where(
                         choose, cap1, cap0
                     )
-        if self._spec.tensor_fn is not None:
-            result = self._spec.solve_tensor(
-                capacity, terminals[0], terminals[1],
-                residual_out=residual, stats=stats,
+        values = np.empty(2 * count, dtype=np.float64)
+        for row in range(2 * count):
+            values[row] = self._spec.solve_matrix(
+                capacity[row],
+                residual[row],
+                int(terminals[0, row]),
+                int(terminals[1, row]),
+                stats=stats,
             )
-            values = result.values
-        else:
-            values = np.empty(2 * count, dtype=np.float64)
-            for row in range(2 * count):
-                values[row] = self._spec.solve_matrix(
-                    capacity[row],
-                    residual[row],
-                    int(terminals[0, row]),
-                    int(terminals[1, row]),
-                    stats=stats,
-                )
         with stats.phase("compare"):
             comparator = ppuf.comparator
             bits = (

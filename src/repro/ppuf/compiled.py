@@ -16,21 +16,21 @@ networks —
 * optional edge I–V tables (``v_grid``, ``currents0/1``,
   ``cocontent0/1``) for the circuit engine, shape ``(2, E, G)``.
 
-Evaluation against the artifact is pure row selection plus a solve:
-:meth:`CompiledNetwork.flow_network` feeds the flat arrays straight into
-:meth:`repro.flow.graph.FlowNetwork.from_arrays` with no per-edge Python
-loop and no lazy derivation.  :class:`CompiledNetwork` is call-compatible
-with :class:`~repro.ppuf.device.PpufNetwork` for every consumer of the
-evaluation spine (:mod:`repro.ppuf.engines`,
+Evaluation against the artifact is pure row selection plus a solve, with
+no lazy derivation.  :class:`CompiledNetwork` and :class:`CompiledDevice`
+only serve the arrays; the evaluation methods themselves are the ones
+:class:`~repro.ppuf.device.PpufNetwork` and :class:`~repro.ppuf.device.Ppuf`
+run, inherited from :class:`~repro.ppuf.model.NetworkModel` and
+:class:`~repro.ppuf.model.DeviceModel`.  Every consumer of the evaluation
+spine (:mod:`repro.ppuf.engines`,
 :class:`~repro.ppuf.verification.PpufProver` /
 :class:`~repro.ppuf.verification.PpufVerifier`, the batch pipeline and the
-service verification workers).
+service verification workers) takes either.
 
 For multi-process fan-out, :func:`repro.runtime.provision.share_compiled`
 / :func:`~repro.runtime.provision.attach_compiled` place the tables in
 one shared-memory block so every worker *maps* them (zero-copy) instead
-of receiving a pickled device; both are re-exported here for their
-historical import site.
+of receiving a pickled device.
 
 This mirrors the paper's public-model hand-off: compilation *is* the
 manufacturer publishing the simulation model; everything in the artifact
@@ -40,21 +40,17 @@ challenge is exactly the solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
-from repro.circuit.dc import solve_dc
 from repro.circuit.ptm32 import OperatingConditions, Technology
 from repro.circuit.table import EdgeTable
-from repro.errors import ChallengeError, ReproError
-from repro.flow import FlowNetwork, solve_max_flow
-from repro.flow.registry import DEFAULT_ALGORITHM
-from repro.ppuf.challenge import Challenge, ChallengeSpace
+from repro.errors import ReproError
 from repro.ppuf.comparator import CurrentComparator
 from repro.ppuf.crossbar import Crossbar
 from repro.ppuf.formats import FORMAT_VERSION, check_format
+from repro.ppuf.model import DeviceModel, NetworkModel
 
 #: Network-name -> table-row mapping shared with the service wire format.
 NETWORK_INDEX: Dict[str, int] = {"a": 0, "b": 1}
@@ -75,32 +71,12 @@ def _readonly(array, dtype, shape) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class NetworkTables:
-    """One network's compiled per-bit tables.
-
-    The exchange unit between :meth:`PpufNetwork.compile
-    <repro.ppuf.device.PpufNetwork.compile>` (which produces one) and
-    :meth:`PpufNetwork.adopt_compiled
-    <repro.ppuf.device.PpufNetwork.adopt_compiled>` (which seeds the lazy
-    caches from one, skipping re-derivation).
-    """
-
-    cap0: np.ndarray
-    cap1: np.ndarray
-    table0: Optional[EdgeTable] = None
-    table1: Optional[EdgeTable] = None
-
-
-class CompiledNetwork:
+class CompiledNetwork(NetworkModel):
     """Evaluation view of one network of a :class:`CompiledDevice`.
 
-    Call-compatible with :class:`~repro.ppuf.device.PpufNetwork` for the
-    evaluation spine: ``crossbar``, ``capacities``/``capacity_matrix``/
-    ``flow_network``/``maxflow_current`` (max-flow engine),
-    ``edge_table``/``circuit_current``/``dc_solution`` (circuit engine) and
-    the internal ``_capacities_for_bit`` row accessor the batch pipeline
-    uses.  There is no lazy state: every call is row selection + solve.
+    Serves the per-bit rows of :class:`~repro.ppuf.model.NetworkModel`
+    straight from the artifact arrays; there is no lazy state, so every
+    call is row selection + solve.
     """
 
     def __init__(self, device: "CompiledDevice", index: int):
@@ -113,6 +89,18 @@ class CompiledNetwork:
         return self.device.crossbar
 
     @property
+    def edge_src(self) -> np.ndarray:
+        return self.device.edge_src
+
+    @property
+    def edge_dst(self) -> np.ndarray:
+        return self.device.edge_dst
+
+    @property
+    def v_supply(self) -> float:
+        return self.device.v_supply
+
+    @property
     def tech(self) -> Technology:
         return self.device.tech
 
@@ -120,112 +108,26 @@ class CompiledNetwork:
     def conditions(self) -> OperatingConditions:
         return self.device.conditions
 
-    # -- max-flow engine -----------------------------------------------
+    # -- per-bit rows ----------------------------------------------------
     def _capacities_for_bit(self, bit: int) -> np.ndarray:
         table = self.device.cap1 if bit else self.device.cap0
         return table[self.index]
 
-    def capacities(self, edge_bits: np.ndarray) -> np.ndarray:
-        """Per-edge capacities under a bit vector (pure row selection)."""
-        edge_bits = np.asarray(edge_bits)
-        if edge_bits.shape != (self.device.num_edges,):
-            raise ChallengeError(
-                f"expected {self.device.num_edges} edge bits, got {edge_bits.shape}"
-            )
-        return np.where(
-            edge_bits == 1, self._capacities_for_bit(1), self._capacities_for_bit(0)
-        )
-
-    def capacity_matrix(self, edge_bits: np.ndarray) -> np.ndarray:
-        matrix = np.zeros((self.device.n, self.device.n))
-        matrix[self.device.edge_src, self.device.edge_dst] = self.capacities(edge_bits)
-        return matrix
-
-    def flow_network(self, edge_bits: np.ndarray) -> FlowNetwork:
-        """The public max-flow instance, built through the array fast path."""
-        return FlowNetwork.from_arrays(
-            self.device.n,
-            self.device.edge_src,
-            self.device.edge_dst,
-            self.capacities(edge_bits),
-        )
-
-    def maxflow_current(
-        self,
-        edge_bits: np.ndarray,
-        source: int,
-        sink: int,
-        *,
-        algorithm: str = DEFAULT_ALGORITHM,
-        stats=None,
-    ) -> float:
-        network = self.flow_network(edge_bits)
-        result = solve_max_flow(network, source, sink, algorithm=algorithm, stats=stats)
-        return result.value
-
-    # -- circuit engine ------------------------------------------------
     def _table_for_bit(self, bit: int) -> EdgeTable:
         if not self.device.has_circuit_tables:
             raise ReproError(
                 "compiled artifact carries no circuit I-V tables "
                 "(compiled with include_circuit=False)"
             )
-        which = 1 if bit else 0
+        device = self.device
         return EdgeTable(
-            v_grid=self.device.v_grid,
-            currents=(self.device.currents1 if which else self.device.currents0)[
-                self.index
-            ],
-            cocontent=(self.device.cocontent1 if which else self.device.cocontent0)[
-                self.index
-            ],
-        )
-
-    def edge_table(self, edge_bits: np.ndarray) -> EdgeTable:
-        """Per-challenge I–V table assembled by row selection."""
-        edge_bits = np.asarray(edge_bits)
-        if edge_bits.shape != (self.device.num_edges,):
-            raise ChallengeError(
-                f"expected {self.device.num_edges} edge bits, got {edge_bits.shape}"
-            )
-        table0 = self._table_for_bit(0)
-        table1 = self._table_for_bit(1)
-        select = (edge_bits == 1)[:, None]
-        return EdgeTable(
-            v_grid=table0.v_grid,
-            currents=np.where(select, table1.currents, table0.currents),
-            cocontent=np.where(select, table1.cocontent, table0.cocontent),
-        )
-
-    def circuit_current(self, edge_bits: np.ndarray, source: int, sink: int) -> float:
-        solution = self.dc_solution(edge_bits, source, sink)
-        return solution.source_current
-
-    def dc_solution(self, edge_bits: np.ndarray, source: int, sink: int):
-        table = self.edge_table(edge_bits)
-        return solve_dc(
-            self.device.n,
-            self.device.edge_src,
-            self.device.edge_dst,
-            table,
-            source=source,
-            sink=sink,
-            v_supply=self.device.v_supply,
-        )
-
-    # -- interop with PpufNetwork.adopt_compiled ------------------------
-    def tables(self) -> NetworkTables:
-        """This network's tables in the :class:`NetworkTables` exchange form."""
-        circuit = self.device.has_circuit_tables
-        return NetworkTables(
-            cap0=self._capacities_for_bit(0),
-            cap1=self._capacities_for_bit(1),
-            table0=self._table_for_bit(0) if circuit else None,
-            table1=self._table_for_bit(1) if circuit else None,
+            v_grid=device.v_grid,
+            currents=(device.currents1 if bit else device.currents0)[self.index],
+            cocontent=(device.cocontent1 if bit else device.cocontent0)[self.index],
         )
 
 
-class CompiledDevice:
+class CompiledDevice(DeviceModel):
     """An immutable, versioned, serialisable PPUF evaluation artifact.
 
     Build one with :meth:`repro.ppuf.device.Ppuf.compile` (or
@@ -298,14 +200,6 @@ class CompiledDevice:
     # geometry / metadata
     # ------------------------------------------------------------------
     @property
-    def n(self) -> int:
-        return self.crossbar.n
-
-    @property
-    def l(self) -> int:
-        return self.crossbar.l
-
-    @property
     def num_edges(self) -> int:
         return self.crossbar.num_edges
 
@@ -356,93 +250,6 @@ class CompiledDevice:
     @property
     def network_b(self) -> CompiledNetwork:
         return self._networks[1]
-
-    def challenge_space(self) -> ChallengeSpace:
-        return ChallengeSpace(self.crossbar)
-
-    # ------------------------------------------------------------------
-    # evaluation (mirrors Ppuf)
-    # ------------------------------------------------------------------
-    def currents(
-        self,
-        challenge: Challenge,
-        *,
-        engine: str = "maxflow",
-        algorithm: str = DEFAULT_ALGORITHM,
-        stats=None,
-    ) -> Tuple[float, float]:
-        """Source currents of the two networks (same contract as ``Ppuf``)."""
-        from repro.ppuf.engines import network_current
-
-        self._check_challenge(challenge)
-        return (
-            network_current(
-                self._networks[0], challenge, engine, algorithm=algorithm, stats=stats
-            ),
-            network_current(
-                self._networks[1], challenge, engine, algorithm=algorithm, stats=stats
-            ),
-        )
-
-    def response(
-        self,
-        challenge: Challenge,
-        *,
-        engine: str = "maxflow",
-        algorithm: str = DEFAULT_ALGORITHM,
-        stats=None,
-    ) -> int:
-        current_a, current_b = self.currents(
-            challenge, engine=engine, algorithm=algorithm, stats=stats
-        )
-        return self.comparator.compare(current_a, current_b)
-
-    def response_bits(
-        self,
-        challenges,
-        *,
-        engine: str = "maxflow",
-        algorithm: str = DEFAULT_ALGORITHM,
-        stats=None,
-    ) -> np.ndarray:
-        return np.array(
-            [
-                self.response(c, engine=engine, algorithm=algorithm, stats=stats)
-                for c in challenges
-            ],
-            dtype=np.uint8,
-        )
-
-    def responses(
-        self,
-        challenges,
-        *,
-        engine: str = "maxflow",
-        algorithm: str = "batched_dinic",
-        workers: int = 1,
-        chunk_size: Optional[int] = None,
-    ) -> np.ndarray:
-        """Batched response bits through :class:`~repro.ppuf.batch.BatchEvaluator`."""
-        from repro.ppuf.batch import BatchEvaluator
-
-        evaluator = BatchEvaluator(
-            self,
-            engine=engine,
-            algorithm=algorithm,
-            workers=workers,
-            chunk_size=chunk_size,
-        )
-        bits, _ = evaluator.evaluate(challenges)
-        return bits
-
-    def _check_challenge(self, challenge: Challenge) -> None:
-        if challenge.num_bits != self.crossbar.num_control_bits:
-            raise ChallengeError(
-                f"challenge carries {challenge.num_bits} control bits; this "
-                f"PPUF expects {self.crossbar.num_control_bits}"
-            )
-        if not (0 <= challenge.source < self.n and 0 <= challenge.sink < self.n):
-            raise ChallengeError("challenge terminals out of node range")
 
     # ------------------------------------------------------------------
     # serialisation
@@ -526,8 +333,8 @@ def compile_ppuf(
 ) -> CompiledDevice:
     """Compile a :class:`~repro.ppuf.device.Ppuf` into a :class:`CompiledDevice`.
 
-    Reads through the device's lazy per-bit caches (so compiling a warmed
-    device copies nothing) and stacks both networks' tables into the flat
+    Reads the networks' per-bit row accessors (so compiling a warmed
+    device copies nothing) and stacks both networks' rows into the flat
     artifact arrays.  ``include_circuit=False`` skips the I–V table build —
     the right choice for verification-only consumers (the service), whose
     residual-graph check needs only the capacities.
@@ -541,30 +348,29 @@ def compile_ppuf(
     from repro.service.registry import device_id_for
 
     networks = (ppuf.network_a, ppuf.network_b)
-    tables = [net.compile(include_circuit=include_circuit) for net in networks]
     circuit: dict = {}
     if include_circuit:
-        grids = [t.table0.v_grid for t in tables] + [t.table1.v_grid for t in tables]
+        tables = [
+            (net._table_for_bit(0), net._table_for_bit(1)) for net in networks
+        ]
+        grids = [table.v_grid for pair in tables for table in pair]
         for grid in grids[1:]:
             if not np.array_equal(grid, grids[0]):
                 raise ReproError(
                     "networks tabulate on different voltage grids; cannot compile"
                 )
-        circuit = {
-            "v_grid": grids[0],
-            "currents0": np.stack([t.table0.currents for t in tables]),
-            "currents1": np.stack([t.table1.currents for t in tables]),
-            "cocontent0": np.stack([t.table0.cocontent for t in tables]),
-            "cocontent1": np.stack([t.table1.cocontent for t in tables]),
-        }
+        circuit = {"v_grid": grids[0]}
+        for bit in (0, 1):
+            circuit[f"currents{bit}"] = np.stack([pair[bit].currents for pair in tables])
+            circuit[f"cocontent{bit}"] = np.stack([pair[bit].cocontent for pair in tables])
     if device_id is None:
         device_id = device_id_for(ppuf_to_dict(ppuf))
     reference = ppuf.network_a
     return CompiledDevice(
         n=ppuf.n,
         l=ppuf.l,
-        cap0=np.stack([t.cap0 for t in tables]),
-        cap1=np.stack([t.cap1 for t in tables]),
+        cap0=np.stack([net._capacities_for_bit(0) for net in networks]),
+        cap1=np.stack([net._capacities_for_bit(1) for net in networks]),
         comparator_offset=ppuf.comparator.offset,
         v_supply=reference.conditions.v_supply,
         device_id=device_id,
@@ -574,25 +380,11 @@ def compile_ppuf(
     )
 
 
-# ----------------------------------------------------------------------
-# shm transport — moved to repro.runtime.provision, the one module
-# allowed to touch the shm machinery (CI greps).  Re-exported here (at
-# the bottom, once CompiledDevice exists, because provision's attach
-# path imports it back) for the historical import site.
-# ----------------------------------------------------------------------
-from repro.runtime.provision import (  # noqa: E402
-    attach_compiled,
-    share_compiled,
-)
-
 __all__ = [
     "CAPACITY_KEYS",
     "CIRCUIT_KEYS",
     "NETWORK_INDEX",
     "CompiledDevice",
     "CompiledNetwork",
-    "NetworkTables",
-    "attach_compiled",
     "compile_ppuf",
-    "share_compiled",
 ]

@@ -3,22 +3,24 @@
 :class:`PpufNetwork` models one crossbar (Fig. 1's "Network A" or
 "Network B"): it owns a process-variation sample and lazily caches, per
 challenge-bit value, the edge capacities (max-flow engine) and the edge I–V
-tables (circuit engine), so per-challenge evaluation only selects rows and
-solves.
+tables (circuit engine).  Evaluation itself — row selection plus a solve —
+is :class:`~repro.ppuf.model.NetworkModel`, shared with the compiled
+artifact.
 
 :class:`Ppuf` is the full device of Fig. 1: it compares the two networks'
-source currents to produce the response bit.
+source currents to produce the response bit
+(:class:`~repro.ppuf.model.DeviceModel`), and adds fabrication,
+compilation, comparator noise and environmental corners.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.blocks.edge import edge_currents_at_voltage, edge_saturation_scale, edge_voltage
-from repro.circuit.dc import solve_dc
 from repro.circuit.ptm32 import (
     CAPACITY_REFERENCE_VOLTAGE,
     NOMINAL_CONDITIONS,
@@ -28,18 +30,21 @@ from repro.circuit.ptm32 import (
 )
 from repro.circuit.table import EdgeTable
 from repro.circuit.variation import VariationModel, VariationSample
-from repro.errors import ChallengeError, GraphError
-from repro.flow import FlowNetwork, solve_max_flow
+from repro.errors import GraphError
 from repro.flow.registry import DEFAULT_ALGORITHM
-from repro.ppuf.challenge import Challenge, ChallengeSpace
+from repro.ppuf.challenge import Challenge
 from repro.ppuf.comparator import CurrentComparator
-from repro.ppuf.compiled import CompiledDevice, NetworkTables, compile_ppuf
+from repro.ppuf.compiled import CompiledDevice, compile_ppuf
 from repro.ppuf.crossbar import Crossbar
-from repro.ppuf.engines import network_current
+from repro.ppuf.model import DeviceModel, NetworkModel
 
 
-class PpufNetwork:
+class PpufNetwork(NetworkModel):
     """One crossbar network bound to a variation sample.
+
+    Derives the per-bit rows of :class:`~repro.ppuf.model.NetworkModel`
+    lazily and caches them: a max-flow-only user never pays for the I–V
+    tables.
 
     Parameters
     ----------
@@ -67,9 +72,7 @@ class PpufNetwork:
         self.sample = sample
         self.tech = tech
         self.conditions = conditions
-        self._capacities: Dict[int, np.ndarray] = {}
-        self._tables: Dict[int, EdgeTable] = {}
-        self._edge_src, self._edge_dst = crossbar.edge_endpoints()
+        self._reset_derived()
 
     # ------------------------------------------------------------------
     # pickling: the lazy caches are derivable, so they never travel.  A
@@ -78,51 +81,25 @@ class PpufNetwork:
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        for key in ("_capacities", "_tables", "_edge_src", "_edge_dst"):
+        for key in ("_capacities", "_tables", "edge_src", "edge_dst"):
             state.pop(key, None)
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self._capacities = {}
-        self._tables = {}
-        self._edge_src, self._edge_dst = self.crossbar.edge_endpoints()
+        self._reset_derived()
+
+    def _reset_derived(self) -> None:
+        self._capacities: Dict[int, np.ndarray] = {}
+        self._tables: Dict[int, EdgeTable] = {}
+        self.edge_src, self.edge_dst = self.crossbar.edge_endpoints()
+
+    @property
+    def v_supply(self) -> float:
+        return self.conditions.v_supply
 
     # ------------------------------------------------------------------
-    # compiled-artifact interop
-    # ------------------------------------------------------------------
-    def compile(self, *, include_circuit: bool = True) -> NetworkTables:
-        """This network's per-bit tables in compiled (flat-array) form.
-
-        Forces the lazy caches, so compiling a warmed network copies
-        nothing.  With ``include_circuit=False`` the I–V tables are skipped
-        (verification-only consumers need just the capacities).
-        """
-        return NetworkTables(
-            cap0=self._capacities_for_bit(0),
-            cap1=self._capacities_for_bit(1),
-            table0=self._table_for_bit(0) if include_circuit else None,
-            table1=self._table_for_bit(1) if include_circuit else None,
-        )
-
-    def adopt_compiled(self, tables: NetworkTables) -> None:
-        """Seed the lazy caches from compiled tables, skipping derivation.
-
-        The inverse of :meth:`compile`: a network that adopts an artifact's
-        tables answers every subsequent challenge by row selection without
-        ever running the capacity bisection or the I–V tabulation.
-        """
-        if tables.cap0.shape != (self.crossbar.num_edges,):
-            raise GraphError(
-                f"compiled tables cover {tables.cap0.shape[0]} edges but the "
-                f"crossbar has {self.crossbar.num_edges}"
-            )
-        self._capacities = {0: tables.cap0, 1: tables.cap1}
-        if tables.table0 is not None and tables.table1 is not None:
-            self._tables = {0: tables.table0, 1: tables.table1}
-
-    # ------------------------------------------------------------------
-    # capacity cache (max-flow engine)
+    # lazily derived per-bit rows
     # ------------------------------------------------------------------
     def _capacities_for_bit(self, bit: int) -> np.ndarray:
         if bit not in self._capacities:
@@ -132,50 +109,6 @@ class PpufNetwork:
             )
         return self._capacities[bit]
 
-    def capacities(self, edge_bits: np.ndarray) -> np.ndarray:
-        """Simulation-model edge capacities under a per-edge bit vector."""
-        edge_bits = np.asarray(edge_bits)
-        if edge_bits.shape != (self.crossbar.num_edges,):
-            raise ChallengeError(
-                f"expected {self.crossbar.num_edges} edge bits, got {edge_bits.shape}"
-            )
-        cap0 = self._capacities_for_bit(0)
-        cap1 = self._capacities_for_bit(1)
-        return np.where(edge_bits == 1, cap1, cap0)
-
-    def capacity_matrix(self, edge_bits: np.ndarray) -> np.ndarray:
-        """Dense n×n capacity matrix of the simulation model."""
-        matrix = np.zeros((self.crossbar.n, self.crossbar.n))
-        matrix[self._edge_src, self._edge_dst] = self.capacities(edge_bits)
-        return matrix
-
-    def flow_network(self, edge_bits: np.ndarray) -> FlowNetwork:
-        """The public max-flow instance for a challenge configuration."""
-        return FlowNetwork.from_arrays(
-            self.crossbar.n, self._edge_src, self._edge_dst, self.capacities(edge_bits)
-        )
-
-    def maxflow_current(
-        self,
-        edge_bits: np.ndarray,
-        source: int,
-        sink: int,
-        *,
-        algorithm: str = DEFAULT_ALGORITHM,
-        stats=None,
-    ) -> float:
-        """Simulated source current: the max-flow value.
-
-        ``algorithm`` may be any registered exact solver; ``stats`` is an
-        optional :class:`~repro.flow.registry.SolveStats` to fill.
-        """
-        network = self.flow_network(edge_bits)
-        result = solve_max_flow(network, source, sink, algorithm=algorithm, stats=stats)
-        return result.value
-
-    # ------------------------------------------------------------------
-    # I-V table cache (circuit engine)
-    # ------------------------------------------------------------------
     def _table_for_bit(self, bit: int) -> EdgeTable:
         if bit not in self._tables:
             bits = np.full(self.crossbar.num_edges, bit, dtype=np.uint8)
@@ -191,55 +124,13 @@ class PpufNetwork:
             )
         return self._tables[bit]
 
-    def edge_table(self, edge_bits: np.ndarray) -> EdgeTable:
-        """Per-challenge table assembled by row selection from the bit caches."""
-        edge_bits = np.asarray(edge_bits)
-        if edge_bits.shape != (self.crossbar.num_edges,):
-            raise ChallengeError(
-                f"expected {self.crossbar.num_edges} edge bits, got {edge_bits.shape}"
-            )
-        table0 = self._table_for_bit(0)
-        table1 = self._table_for_bit(1)
-        select = (edge_bits == 1)[:, None]
-        return EdgeTable(
-            v_grid=table0.v_grid,
-            currents=np.where(select, table1.currents, table0.currents),
-            cocontent=np.where(select, table1.cocontent, table0.cocontent),
-        )
-
-    def circuit_current(self, edge_bits: np.ndarray, source: int, sink: int) -> float:
-        """Executed source current: nonlinear DC solve of the crossbar."""
-        table = self.edge_table(edge_bits)
-        solution = solve_dc(
-            self.crossbar.n,
-            self._edge_src,
-            self._edge_dst,
-            table,
-            source=source,
-            sink=sink,
-            v_supply=self.conditions.v_supply,
-        )
-        return solution.source_current
-
-    def dc_solution(self, edge_bits: np.ndarray, source: int, sink: int):
-        """Full DC operating point (for delay/power analysis)."""
-        table = self.edge_table(edge_bits)
-        return solve_dc(
-            self.crossbar.n,
-            self._edge_src,
-            self._edge_dst,
-            table,
-            source=source,
-            sink=sink,
-            v_supply=self.conditions.v_supply,
-        )
-
 
 @dataclass
-class Ppuf:
+class Ppuf(DeviceModel):
     """A complete PPUF instance (Fig. 1).
 
-    Build with :meth:`create`; evaluate with :meth:`response`.
+    Build with :meth:`create`; evaluate with :meth:`response` (see
+    :class:`~repro.ppuf.model.DeviceModel`).
     """
 
     crossbar: Crossbar
@@ -279,18 +170,6 @@ class Ppuf:
             comparator=comparator or CurrentComparator(),
         )
 
-    # ------------------------------------------------------------------
-    @property
-    def n(self) -> int:
-        return self.crossbar.n
-
-    @property
-    def l(self) -> int:
-        return self.crossbar.l
-
-    def challenge_space(self) -> ChallengeSpace:
-        return ChallengeSpace(self.crossbar)
-
     def compile(
         self,
         *,
@@ -310,40 +189,6 @@ class Ppuf:
             self, include_circuit=include_circuit, device_id=device_id
         )
 
-    def currents(
-        self,
-        challenge: Challenge,
-        *,
-        engine: str = "maxflow",
-        algorithm: str = DEFAULT_ALGORITHM,
-        stats=None,
-    ) -> Tuple[float, float]:
-        """Source currents of the two networks for a challenge.
-
-        ``algorithm`` names any registered exact solver (maxflow engine);
-        ``stats`` is an optional :class:`~repro.flow.registry.SolveStats`
-        accumulating telemetry across both network solves.
-        """
-        self._check_challenge(challenge)
-        return (
-            network_current(self.network_a, challenge, engine, algorithm=algorithm, stats=stats),
-            network_current(self.network_b, challenge, engine, algorithm=algorithm, stats=stats),
-        )
-
-    def response(
-        self,
-        challenge: Challenge,
-        *,
-        engine: str = "maxflow",
-        algorithm: str = DEFAULT_ALGORITHM,
-        stats=None,
-    ) -> int:
-        """The response bit: comparator decision on the two currents."""
-        current_a, current_b = self.currents(
-            challenge, engine=engine, algorithm=algorithm, stats=stats
-        )
-        return self.comparator.compare(current_a, current_b)
-
     def noisy_response(
         self,
         challenge: Challenge,
@@ -360,54 +205,6 @@ class Ppuf:
         """
         current_a, current_b = self.currents(challenge, engine=engine, algorithm=algorithm)
         return self.comparator.majority_decision(current_a, current_b, rng, votes=votes)
-
-    def response_bits(
-        self,
-        challenges,
-        *,
-        engine: str = "maxflow",
-        algorithm: str = DEFAULT_ALGORITHM,
-        stats=None,
-    ) -> np.ndarray:
-        """Vector of response bits for a challenge list."""
-        return np.array(
-            [
-                self.response(c, engine=engine, algorithm=algorithm, stats=stats)
-                for c in challenges
-            ],
-            dtype=np.uint8,
-        )
-
-    def responses(
-        self,
-        challenges,
-        *,
-        engine: str = "maxflow",
-        algorithm: str = "batched_dinic",
-        workers: int = 1,
-        chunk_size: Optional[int] = None,
-    ) -> np.ndarray:
-        """Batched response bits: challenge matrix in, response vector out.
-
-        The throughput path: capacities for all challenges are assembled
-        into one table and solved in lockstep — edge arrays over the
-        shared CSR for ``algorithm="batched_dinic"`` (default), a dense
-        stack for ``"batched"`` — or one at a time with an exact named
-        solver.  See
-        :class:`repro.ppuf.batch.BatchEvaluator` for the pipeline and
-        :class:`repro.ppuf.batch.BatchReport` for per-stage accounting.
-        """
-        from repro.ppuf.batch import BatchEvaluator
-
-        evaluator = BatchEvaluator(
-            self,
-            engine=engine,
-            algorithm=algorithm,
-            workers=workers,
-            chunk_size=chunk_size,
-        )
-        bits, _ = evaluator.evaluate(challenges)
-        return bits
 
     def at_environment(
         self,
@@ -433,12 +230,3 @@ class Ppuf:
             network_b=PpufNetwork(self.crossbar, self.network_b.sample, tech, conditions),
             comparator=self.comparator,
         )
-
-    def _check_challenge(self, challenge: Challenge) -> None:
-        if challenge.num_bits != self.crossbar.num_control_bits:
-            raise ChallengeError(
-                f"challenge carries {challenge.num_bits} control bits; this "
-                f"PPUF expects {self.crossbar.num_control_bits}"
-            )
-        if not (0 <= challenge.source < self.n and 0 <= challenge.sink < self.n):
-            raise ChallengeError("challenge terminals out of node range")

@@ -8,7 +8,7 @@ packs a whole fleet into a single append-only file that a verifier opens
 **once** with :func:`numpy.memmap`; serving a device is then an index
 lookup plus a row slice, and every process mapping the pack shares pages
 through the OS page cache — the same economics
-:func:`~repro.ppuf.compiled.share_compiled` gives one device over shared
+:func:`~repro.runtime.provision.share_compiled` gives one device over shared
 memory, extended to the whole directory of public models the paper's
 protocol assumes.
 

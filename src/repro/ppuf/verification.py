@@ -121,7 +121,7 @@ class PpufProver:
     *flow pattern* is what the verifier asks for).
     """
 
-    network: "object"  # repro.ppuf.device.PpufNetwork
+    network: "object"  # repro.ppuf.model.NetworkModel
 
     def answer(
         self,
@@ -359,7 +359,7 @@ def verify_compact_claims(
 class PpufVerifier:
     """The public-model holder: verifies claims without the device."""
 
-    network: "object"  # repro.ppuf.device.PpufNetwork
+    network: "object"  # repro.ppuf.model.NetworkModel
 
     def verify(self, claim: FlowClaim, *, rtol: float = DEFAULT_RTOL) -> bool:
         """Accept iff the claimed flow is feasible, maximal and value-true.

@@ -1,8 +1,8 @@
 """Worker-side artifact provisioning: one cache, three transports.
 
 A pool worker verifying claims or solving CRP chunks needs the device's
-compiled tables.  Those tables can arrive three ways, each with its own
-cost profile:
+compiled tables (:class:`~repro.ppuf.compiled.CompiledDevice`).  Those
+tables can arrive three ways, each with its own cost profile:
 
 * **shared memory** — :func:`share_compiled` places one artifact's arrays
   in a single ``multiprocessing.shared_memory`` block; every worker
@@ -12,10 +12,10 @@ cost profile:
   fleet's mmap'd :class:`~repro.ppuf.pack.ArtifactPack` once and every
   device after that is an index lookup + row slice.  The service's
   transport for pack-backed fleets.
-* **fallback** — a pickled :class:`~repro.ppuf.compiled.CompiledDevice`
-  (built from the registry's ``.npz`` artifacts) or, on the legacy path,
-  the enrolled public dict rebuilt via
-  :func:`repro.ppuf.io.ppuf_from_dict`.
+* **pickle** — a pickled :class:`~repro.ppuf.compiled.CompiledDevice`
+  (built from the registry's ``.npz`` artifacts or compiled from an
+  enrolled description), also the batch pipeline's fallback where shared
+  memory is unavailable.
 
 All three land behind one process-local bounded LRU
 (:func:`provision_device`): a worker holds at most
@@ -25,8 +25,8 @@ mappings are shared per path, so the artifact bytes exist once per
 machine (OS page cache), not once per worker.
 
 This module is the **only** place in the repo allowed to touch
-``multiprocessing.shared_memory`` (CI greps for it); the historical
-import sites (``repro.ppuf.compiled``) re-export from here.
+``multiprocessing.shared_memory`` (CI greps for it); import
+:func:`share_compiled` / :func:`attach_compiled` from here.
 """
 
 from __future__ import annotations
@@ -37,21 +37,6 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import ReproError
-
-
-def ppuf_from_dict(public):
-    """Rebuild a device from its public description (legacy transport).
-
-    Thin indirection over :func:`repro.ppuf.io.ppuf_from_dict`: imported
-    lazily so this low-level runtime module never participates in the
-    ``ppuf`` package's import graph (``repro.ppuf.compiled`` re-exports
-    from here), and left at module scope so tests can monkeypatch the
-    rebuild step.
-    """
-    from repro.ppuf import io
-
-    return io.ppuf_from_dict(public)
-
 
 #: Bound on the per-worker device cache.  Small on purpose: a pool worker
 #: only needs the devices it is actively working on.  Read at insertion
@@ -85,14 +70,11 @@ def _pack_device(path: str, device_id: str):
 def materialise_payload(payload, device_id: Optional[str] = None):
     """Turn one worker transport payload into a live device.
 
-    Accepts every transport the pools ship: an enrolled public dict (the
-    legacy path), a ``("pack", path)`` reference, a ``("shm", name,
-    manifest)`` block published by :func:`share_compiled`, a
-    ``("pickle", device)`` wrapper, or an already-materialised device
-    object (returned as-is).
+    Accepts every transport the pools ship: a ``("pack", path)``
+    reference, a ``("shm", name, manifest)`` block published by
+    :func:`share_compiled`, a ``("pickle", device)`` wrapper, or an
+    already-materialised device object (returned as-is).
     """
-    if isinstance(payload, dict):
-        return ppuf_from_dict(payload)
     if isinstance(payload, tuple) and payload:
         kind = payload[0]
         if kind == "pack":
@@ -171,7 +153,8 @@ def ship_compiled(device, *, share_memory: bool = True) -> ShippedArtifact:
     With ``share_memory`` (default) the artifact's arrays go into one
     shared block and the payload is the tiny ``("shm", name, manifest)``
     reference; otherwise the payload pickles the device to every worker
-    (the legacy baseline, kept for comparison benchmarks).
+    (the fallback where shared memory is unavailable, and the comparison
+    baseline for benchmarks).
     """
     if share_memory:
         shm, manifest = share_compiled(device)

@@ -43,12 +43,12 @@ from __future__ import annotations
 import asyncio
 import logging
 from collections import OrderedDict
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.errors import ServiceError, ServiceTimeout, VerificationError, WorkerCrash
 from repro.flow.graph import DEFAULT_RTOL
 from repro.ppuf.delay import lin_mead_delay_bound
-from repro.ppuf.verification import PpufVerifier, verify_compact_claims
+from repro.ppuf.verification import verify_compact_claims
 from repro.runtime.microbatch import MicroBatcher
 from repro.runtime.pool import WorkerPool
 from repro.runtime.provision import provision_device
@@ -64,41 +64,6 @@ logger = logging.getLogger(__name__)
 PAPER_DEADLINE_SLACK = 100.0
 
 
-def _verify_claim_task(
-    device_id: str, payload, network: str, claim_wire: dict, rtol: float
-) -> tuple:
-    """Verify one wire claim; runs inside a pool worker (or thread).
-
-    ``payload`` is the device transport: a public dict or a compiled
-    artifact (see :func:`repro.runtime.provision.provision_device`, the
-    worker-side LRU every transport lands behind).  Returns ``(accepted, reason,
-    verify_seconds, fault)`` with ``reason`` one of ``"ok"``,
-    ``"incorrect"`` (feasible but wrong), ``"infeasible"``
-    (conservation/capacity violation or malformed paths).  ``fault`` is
-    ``None`` for expected outcomes; for any *unexpected* exception (e.g. an
-    ``IndexError`` from out-of-range path vertices) it carries the error
-    text and the claim is still rejected as ``"infeasible"`` — a worker
-    exception must never escape the pool and kill the connection.
-    """
-    import time
-
-    start = time.perf_counter()
-    try:
-        device = provision_device(device_id, payload)
-        net = device.network_a if network == "a" else device.network_b
-        verifier = PpufVerifier(net)
-        claim = wire.claim_from_wire(claim_wire)
-        accepted = verifier.verify_compact(claim, rtol=rtol)
-        reason = "ok" if accepted else "incorrect"
-        fault = None
-    except (VerificationError, ServiceError):
-        accepted, reason, fault = False, "infeasible", None
-    except Exception as error:  # noqa: BLE001 — containment is the point
-        accepted, reason = False, "infeasible"
-        fault = f"{type(error).__name__}: {error}"
-    return accepted, reason, time.perf_counter() - start, fault
-
-
 def _verify_claims_task(jobs, rtol: float) -> list:
     """Verify one coalesced claim batch; runs inside a pool worker.
 
@@ -110,9 +75,20 @@ def _verify_claims_task(jobs, rtol: float) -> list:
     claim would have received alone, and a poisoned claim (malformed wire
     form, bad paths, device trouble) is contained to its own row.
 
+    ``payload`` is the device transport: a compiled artifact or a
+    ``("pack", path)`` reference (see
+    :func:`repro.runtime.provision.provision_device`, the worker-side LRU
+    every transport lands behind).
+
     Returns one ``(accepted, reason, verify_seconds, fault)`` tuple per
-    job, in order — the same shape as :func:`_verify_claim_task`, with
-    ``verify_seconds`` the batch wall clock amortised over its claims.
+    job, in order, with ``reason`` one of ``"ok"``, ``"incorrect"``
+    (feasible but wrong) or ``"infeasible"`` (conservation/capacity
+    violation or malformed paths) and ``verify_seconds`` the batch wall
+    clock amortised over its claims.  ``fault`` is ``None`` for expected
+    outcomes; for any *unexpected* exception (e.g. an ``OverflowError``
+    from a huge claimed value) it carries the error text and the claim is
+    still rejected as ``"infeasible"`` — a worker exception must never
+    escape the pool and kill the connection.
     """
     import time
 
@@ -165,7 +141,7 @@ def _verify_claims_task(jobs, rtol: float) -> list:
 
 class VerificationPool:
     """The service face of :class:`~repro.runtime.pool.WorkerPool` for
-    :func:`_verify_claim_task` / :func:`_verify_claims_task`.
+    :func:`_verify_claims_task`.
 
     ``timeout`` cuts off any single verification: a claim that wedges a
     worker raises :class:`ServiceTimeout` to the caller instead of holding
@@ -201,15 +177,6 @@ class VerificationPool:
     def active(self) -> int:
         return self.runtime.active
 
-    async def verify(
-        self, device_id: str, payload, network: str, claim_wire: dict, rtol: float
-    ) -> tuple:
-        # _verify_claim_task resolves as a module global at call time, so
-        # tests (and subclasses) can swap the task function.
-        return await self.runtime.run(
-            _verify_claim_task, device_id, payload, network, claim_wire, rtol
-        )
-
     async def verify_batch(self, jobs: list, rtol: float) -> list:
         """Run :func:`_verify_claims_task` off-loop for a coalesced batch.
 
@@ -218,6 +185,8 @@ class VerificationPool:
         round trip.  ``timeout`` bounds the batch as a unit; a blown
         deadline raises :class:`ServiceTimeout` for every claim in it.
         """
+        # _verify_claims_task resolves as a module global at call time, so
+        # tests (and tracers) can swap the task function.
         return await self.runtime.run(_verify_claims_task, list(jobs), rtol)
 
     def shutdown(self) -> None:
@@ -300,21 +269,17 @@ class PpufAuthServer:
         Verification processes; ``0`` verifies in the default thread
         executor (cheap devices / tests).
     rtol:
-        Claim-value tolerance forwarded to ``PpufVerifier.verify``.
+        Claim-value tolerance forwarded to
+        :func:`~repro.ppuf.verification.verify_compact_claims`.
     allow_enroll:
         Accept ``enroll`` messages over the wire (disable for a
         pre-provisioned fleet).
-    use_compiled:
-        Ship :class:`~repro.ppuf.compiled.CompiledDevice` artifacts to
-        verification workers (default) — a cold claim maps precomputed
-        capacity tables instead of rebuilding the device and re-deriving
-        its caches.  ``False`` restores the legacy public-dict transport.
     claim_batch_size:
         Micro-batching bound: up to this many concurrent claims coalesce
         into one pool dispatch (verified in lockstep by
         :func:`~repro.ppuf.verification.verify_compact_claims`, verdicts
-        split back per claim).  ``1`` disables batching — every claim
-        takes the solo :func:`_verify_claim_task` path.
+        split back per claim).  ``1`` dispatches every claim alone through
+        the same batcher.
     claim_batch_linger:
         How long [s] a forming batch waits for company before dispatching
         anyway.  Bounds the single-claim latency regression: a lone claim
@@ -351,7 +316,6 @@ class PpufAuthServer:
         rtol: float = DEFAULT_RTOL,
         seed: Optional[int] = None,
         allow_enroll: bool = True,
-        use_compiled: bool = True,
         claim_batch_size: int = 16,
         claim_batch_linger: float = 0.002,
         verify_timeout: Optional[float] = 60.0,
@@ -366,9 +330,7 @@ class PpufAuthServer:
         self.registry = registry if registry is not None else DeviceRegistry()
         self.host = host
         self.port = port
-        self.rtol = rtol
         self.allow_enroll = allow_enroll
-        self.use_compiled = use_compiled
         self.connection_timeout = connection_timeout
         self.max_connections = max_connections
         self.max_messages_per_connection = max_messages_per_connection
@@ -382,18 +344,17 @@ class PpufAuthServer:
         )
         self.pool = VerificationPool(workers, timeout=verify_timeout)
         self.stats = ServerStats()
-        self.batcher: Optional[ClaimMicroBatcher] = (
-            ClaimMicroBatcher(
-                self.pool,
-                self.stats,
-                rtol=rtol,
-                batch_size=claim_batch_size,
-                linger_seconds=claim_batch_linger,
-            )
-            if claim_batch_size > 1
-            else None
+        self.batcher = ClaimMicroBatcher(
+            self.pool,
+            self.stats,
+            rtol=rtol,
+            batch_size=claim_batch_size,
+            linger_seconds=claim_batch_linger,
         )
         self._connections = 0
+        # Every live connection handler and its reader, so stop() can end
+        # them cleanly instead of leaving them to be cancelled.
+        self._handlers: Dict[asyncio.Task, asyncio.StreamReader] = {}
         self._server: Optional[asyncio.base_events.Server] = None
         self._sweeper: Optional[asyncio.Task] = None
 
@@ -412,12 +373,15 @@ class PpufAuthServer:
     async def stop(self) -> None:
         # Stop accepting first, then drain in-flight verifications so a
         # claim that already paid for its verify still gets its verdict,
-        # then tear down the sweeper and the pool.
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        # then end the open connections and tear down the sweeper and the
+        # pool.
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()
         await self._drain_verifications()
+        await self._close_connections()
+        if server is not None:
+            await server.wait_closed()
         if self._sweeper is not None:
             self._sweeper.cancel()
             try:
@@ -428,17 +392,10 @@ class PpufAuthServer:
         self.pool.shutdown()
 
     async def _drain_verifications(self) -> None:
-        if self.batcher is not None:
-            self.batcher.flush()
-        deadline = asyncio.get_running_loop().time() + self.drain_seconds
-
-        def _in_flight() -> bool:
-            return bool(
-                self.pool.active
-                or (self.batcher is not None and self.batcher.busy)
-            )
-
-        while _in_flight() and asyncio.get_running_loop().time() < deadline:
+        self.batcher.flush()
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + self.drain_seconds
+        while (self.pool.active or self.batcher.busy) and loop.time() < deadline:
             await asyncio.sleep(0.01)
         if self.pool.active:
             logger.warning(
@@ -446,6 +403,20 @@ class PpufAuthServer:
                 self.pool.active,
                 self.drain_seconds,
             )
+
+    async def _close_connections(self) -> None:
+        """End every open connection and wait for its handler to return.
+
+        Each reader is fed end-of-file: an idle handler wakes and returns,
+        and a busy one first writes the reply it is working on.  Handlers
+        left for ``asyncio.run`` to cancel would instead die inside their
+        ``finally`` and log the cancellation as an error.
+        """
+        handlers = dict(self._handlers)
+        for reader in handlers.values():
+            reader.feed_eof()
+        if handlers:
+            await asyncio.wait(handlers, timeout=self.drain_seconds)
 
     async def serve_forever(self) -> None:
         if self._server is None:
@@ -477,6 +448,8 @@ class PpufAuthServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        self._handlers[task] = reader
         try:
             if self._connections >= self.max_connections:
                 self.stats.connections_rejected += 1
@@ -500,6 +473,7 @@ class PpufAuthServer:
             self.stats.internal_errors += 1
             logger.exception("connection handler failed")
         finally:
+            del self._handlers[task]
             writer.close()
             try:
                 await writer.wait_closed()
@@ -650,21 +624,12 @@ class PpufAuthServer:
         device = self.registry.device(session.device_id)
         payload = await self._device_payload(session.device_id)
         try:
-            if self.batcher is not None:
-                accepted, reason, verify_seconds, fault = await self.batcher.verify(
-                    session.device_id,
-                    payload,
-                    session.network,
-                    claim_wire,
-                )
-            else:
-                accepted, reason, verify_seconds, fault = await self.pool.verify(
-                    session.device_id,
-                    payload,
-                    session.network,
-                    claim_wire,
-                    self.rtol,
-                )
+            accepted, reason, verify_seconds, fault = await self.batcher.verify(
+                session.device_id,
+                payload,
+                session.network,
+                claim_wire,
+            )
         except ServiceTimeout:
             self.stats.verify_timeouts += 1
             logger.warning(
@@ -710,13 +675,10 @@ class PpufAuthServer:
         ``("pack", path)`` reference — each worker resolves it against its
         own long-lived mapping of the pack, so the claim's verify is an
         index lookup + row slice with no artifact bytes on the wire.
-        Otherwise, on the compiled path the first claim per device pays
-        one compilation (offloaded to the default executor so the event
-        loop keeps serving); every later claim reuses the registry's
-        cached artifact.  Legacy path: the enrolled public dict.
+        Otherwise the first claim per device pays one compilation
+        (offloaded to the default executor so the event loop keeps
+        serving); every later claim reuses the registry's cached artifact.
         """
-        if not self.use_compiled:
-            return self.registry.public(device_id)
         pack = getattr(self.registry, "pack", None)
         if pack is not None and device_id in pack:
             return ("pack", pack.path)
@@ -745,9 +707,7 @@ class PpufAuthServer:
         # settled needs to see work that is queued but not yet a session
         # counter — claims in the pool plus claims lingering in the
         # micro-batcher.
-        snapshot["verifications_in_flight"] = self.pool.active + (
-            self.batcher.queued if self.batcher is not None else 0
-        )
+        snapshot["verifications_in_flight"] = self.pool.active + self.batcher.queued
         # The runtime substrate's own telemetry (task/crash/restart
         # counters) rides the same snapshot; the fleet router folds the
         # per-shard entries exactly (see ServerStats.merge_snapshot).

@@ -148,7 +148,7 @@ class TestShortCircuit:
 
     The guard is enforced, not assumed: WorkerPool is monkeypatched to
     explode on construction, so any short-circuit regression fails loudly
-    on both the edge-array ("batched_dinic") and dense ("batched") paths.
+    on both the edge-array ("batched_dinic") and per-row ("dinic") paths.
     """
 
     @pytest.fixture
@@ -163,7 +163,7 @@ class TestShortCircuit:
 
         monkeypatch.setattr(batch_module, "WorkerPool", ExplodingPool)
 
-    @pytest.mark.parametrize("algorithm", ["batched_dinic", "batched"])
+    @pytest.mark.parametrize("algorithm", ["batched_dinic", "dinic"])
     def test_empty_batch_spawns_no_pool(self, small_ppuf, no_pool, algorithm):
         evaluator = BatchEvaluator(small_ppuf, workers=4, algorithm=algorithm)
         bits, report = evaluator.evaluate([])
@@ -171,7 +171,7 @@ class TestShortCircuit:
         assert report.chunks == 0
         assert report.workers == 4
 
-    @pytest.mark.parametrize("algorithm", ["batched_dinic", "batched"])
+    @pytest.mark.parametrize("algorithm", ["batched_dinic", "dinic"])
     def test_single_challenge_spawns_no_pool(
         self, small_ppuf, challenges, no_pool, algorithm
     ):

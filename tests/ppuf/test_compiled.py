@@ -14,11 +14,7 @@ import pytest
 
 from repro.errors import ReproError
 from repro.ppuf import CRPDataset, Ppuf
-from repro.ppuf.compiled import (
-    CompiledDevice,
-    attach_compiled,
-    share_compiled,
-)
+from repro.ppuf.compiled import CompiledDevice
 from repro.ppuf.formats import FORMAT_VERSION
 from repro.ppuf.io import (
     load_compiled,
@@ -28,6 +24,7 @@ from repro.ppuf.io import (
     ppuf_to_dict,
     save_compiled,
 )
+from repro.runtime.provision import attach_compiled, share_compiled
 
 
 @pytest.fixture(scope="module")
@@ -88,7 +85,7 @@ class TestPicklePayloads:
         # Warm every lazy cache (capacities and I-V tables), then check the
         # wire weight: __getstate__ must drop them all, so a warmed network
         # pickles as small as a cold one.
-        tiny_ppuf.network_a.compile(include_circuit=True)
+        tiny_ppuf.compile(include_circuit=True)
         payload = pickle.dumps(tiny_ppuf.network_a)
         assert len(payload) < 100_000
         clone = pickle.loads(payload)
@@ -173,15 +170,6 @@ class TestRoundTrips:
                 restored.response_bits(challenges, engine=engine),
                 compiled.response_bits(challenges, engine=engine),
             )
-
-    def test_adopt_compiled_seeds_the_lazy_caches(self, tiny_ppuf, compiled):
-        fresh = ppuf_from_dict(ppuf_to_dict(tiny_ppuf))
-        fresh.network_a.adopt_compiled(compiled.network_a.tables())
-        assert set(fresh.network_a._capacities) == {0, 1}
-        challenges = challenges_for(tiny_ppuf, 8, seed=13)
-        assert np.array_equal(
-            fresh.response_bits(challenges), tiny_ppuf.response_bits(challenges)
-        )
 
 
 class TestFormatVersioning:

@@ -1,7 +1,7 @@
 """Worker-side provisioning: every transport materialises the same device.
 
-:func:`materialise_payload` accepts four transports (public dict, pack
-reference, shared-memory block, pickled device); whichever one ships the
+:func:`materialise_payload` accepts three transports (pack reference,
+shared-memory block, pickled device); whichever one ships the
 artifact, the worker must end up answering challenges with the same bits.
 The LRU cache behind :func:`provision_device` is bounded and
 recency-ordered, and producer-side :class:`ShippedArtifact` owns the shm
@@ -53,13 +53,6 @@ class TestMaterialise:
 
     def test_pickle_payload_unwraps(self, compiled):
         assert materialise_payload(("pickle", compiled)) is compiled
-
-    def test_public_dict_rebuilds_device(self, device, probe):
-        from repro.ppuf.io import ppuf_to_dict
-
-        rebuilt = materialise_payload(ppuf_to_dict(device))
-        for challenge in probe:
-            assert rebuilt.response(challenge) == device.response(challenge)
 
     def test_shm_payload_maps_same_bits(self, device, compiled, probe):
         shipped = ship_compiled(compiled, share_memory=True)
@@ -125,9 +118,10 @@ class TestCache:
         provision.clear_cache()
         assert provision.cache_size() == 0
 
-    def test_compiled_reexports_still_importable(self):
-        # Historical import site: repro.ppuf.compiled keeps re-exporting.
-        from repro.ppuf.compiled import attach_compiled, share_compiled
+    def test_compiled_module_does_not_reexport_transport(self):
+        # The shm transport lives in repro.runtime.provision alone; the
+        # artifact module importing it back made an import cycle.
+        from repro.ppuf import compiled as compiled_module
 
-        assert share_compiled is provision.share_compiled
-        assert attach_compiled is provision.attach_compiled
+        assert not hasattr(compiled_module, "share_compiled")
+        assert not hasattr(compiled_module, "attach_compiled")

@@ -9,6 +9,7 @@ graceful drain on stop.
 
 import asyncio
 import json
+import logging
 import time
 
 import numpy as np
@@ -94,7 +95,7 @@ class TestDispatchShapeValidation:
 
 
 class TestWorkerFaultContainment:
-    """Regression: an exception escaping ``_verify_claim_task`` killed the
+    """Regression: an exception escaping the verify task killed the
     connection.  ``float(10**400)`` raises ``OverflowError`` — outside the
     old ``(VerificationError, ServiceError)`` catch."""
 
@@ -121,10 +122,8 @@ class TestWorkerFaultContainment:
 
     def test_verify_task_returns_fault_marker(self, device):
         from repro.ppuf.challenge import ChallengeSpace
-        from repro.ppuf.io import ppuf_to_dict
-        from repro.service.registry import device_id_for
 
-        public = ppuf_to_dict(device)
+        artifact = device.compile(include_circuit=False)
         challenge = ChallengeSpace(device.crossbar).random(
             np.random.default_rng(0)
         )
@@ -133,8 +132,8 @@ class TestWorkerFaultContainment:
             "paths": [],
             "value": 10**400,  # float() of this raises OverflowError
         }
-        accepted, reason, seconds, fault = server_module._verify_claim_task(
-            device_id_for(public), public, "a", claim_wire, 1e-9
+        [(accepted, reason, seconds, fault)] = server_module._verify_claims_task(
+            [(artifact.device_id, artifact, "a", claim_wire)], 1e-9
         )
         assert (accepted, reason) == (False, "infeasible")
         assert seconds >= 0
@@ -241,19 +240,20 @@ class TestWorkerDeviceCache:
         monkeypatch.setattr(provision_module, "WORKER_DEVICE_CACHE_SIZE", 2)
         provision_module.clear_cache()
         calls = []
+        materialise = provision_module.materialise_payload
 
-        def fake_build(public):
-            calls.append(public["id"])
-            return object()
+        def counting(payload, device_id=None):
+            calls.append(device_id)
+            return materialise(payload, device_id)
 
-        monkeypatch.setattr(provision_module, "ppuf_from_dict", fake_build)
-        a = provision_module.provision_device("a", {"id": "a"})
-        provision_module.provision_device("b", {"id": "b"})
+        monkeypatch.setattr(provision_module, "materialise_payload", counting)
+        a = provision_module.provision_device("a", ("pickle", object()))
+        provision_module.provision_device("b", ("pickle", object()))
         # hit, bumps a
-        assert provision_module.provision_device("a", {"id": "a"}) is a
-        provision_module.provision_device("c", {"id": "c"})  # evicts b (LRU)
+        assert provision_module.provision_device("a", ("pickle", object())) is a
+        provision_module.provision_device("c", ("pickle", object()))  # evicts b (LRU)
         assert list(provision_module._WORKER_DEVICES) == ["a", "c"]
-        provision_module.provision_device("b", {"id": "b"})  # rebuild
+        provision_module.provision_device("b", ("pickle", object()))  # rebuild
         assert calls == ["a", "b", "c", "b"]
         provision_module.clear_cache()
 
@@ -350,15 +350,10 @@ class TestConnectionLimits:
 
 class TestVerifyTimeout:
     def test_wedged_verification_is_cut_off(self, device, monkeypatch):
-        def wedged(device_id, public, network, claim_wire, rtol):
-            time.sleep(0.5)
-            return True, "ok", 0.0, None
-
         def wedged_batch(jobs, rtol):
             time.sleep(0.5)
             return [(True, "ok", 0.0, None) for _ in jobs]
 
-        monkeypatch.setattr(server_module, "_verify_claim_task", wedged)
         monkeypatch.setattr(server_module, "_verify_claims_task", wedged_batch)
 
         async def go():
@@ -410,17 +405,11 @@ class TestGracefulDrain:
     def test_stop_waits_for_inflight_verification(self, device, monkeypatch):
         completed = []
 
-        def slow_verify(device_id, public, network, claim_wire, rtol):
-            time.sleep(0.3)
-            completed.append(device_id)
-            return True, "ok", 0.3, None
-
         def slow_verify_batch(jobs, rtol):
             time.sleep(0.3)
             completed.extend(job[0] for job in jobs)
             return [(True, "ok", 0.3, None) for _ in jobs]
 
-        monkeypatch.setattr(server_module, "_verify_claim_task", slow_verify)
         monkeypatch.setattr(server_module, "_verify_claims_task", slow_verify_batch)
 
         async def go():
@@ -441,6 +430,28 @@ class TestGracefulDrain:
         outcome, done = run(go())
         assert len(done) == 1
         assert outcome.accepted
+
+    def test_stop_with_idle_connection_is_silent(self, caplog):
+        # Regression: an idle client's handler was left for asyncio.run to
+        # cancel, which logged the cancellation as an ERROR on the way out.
+        async def go():
+            server = PpufAuthServer(workers=0)
+            await server.start()
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            for _ in range(200):
+                if server._connections:
+                    break
+                await asyncio.sleep(0.01)
+            await server.stop()
+            tail = await asyncio.wait_for(reader.read(), timeout=2.0)
+            writer.close()
+            return tail
+
+        with caplog.at_level(logging.ERROR):
+            tail = run(go())
+        assert tail == b""  # the server closed the connection
+        errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert errors == []
 
 
 class TestCliResilienceFlags:

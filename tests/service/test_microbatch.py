@@ -251,11 +251,12 @@ class TestServerMicroBatchE2E:
         )
 
     def test_batching_disabled_still_verifies(self, ppuf):
+        # claim_batch_size=1 keeps the one claim path: every claim rides
+        # the batcher alone.
         async def go():
             server = PpufAuthServer(
                 workers=0, rounds=2, seed=5, deadline_seconds=30.0, claim_batch_size=1
             )
-            assert server.batcher is None
             async with server:
                 async with ServiceClient("127.0.0.1", server.port) as client:
                     await client.enroll(ppuf)
@@ -264,9 +265,9 @@ class TestServerMicroBatchE2E:
             return outcome, snapshot
 
         outcome, snapshot = asyncio.run(go())
-        assert outcome.accepted
-        assert snapshot["claims_batched"] == 0
-        assert snapshot["claim_batch_occupancy"] == {}
+        assert outcome.accepted and outcome.reason == "ok"
+        assert snapshot["claims_batched"] == 2
+        assert snapshot["claim_batch_occupancy"] == {"1": 2}
 
 
 class TestOccupancyMergesAcrossShards:
